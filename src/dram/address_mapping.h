@@ -133,6 +133,19 @@ class AddressMapping
      */
     const std::vector<uint32_t> &classOffsets(BankId cls) const;
 
+    /**
+     * Address of interleave granule @p granule (counted in increasing
+     * address order) of bank @p bank in row @p row:
+     *   row << rowLoBit | classOffsets(bank ^ rowClass(row))[granule]
+     *                     << interleaveShift.
+     * Constant time. This is the one way to enumerate the addresses of
+     * a (bank, row); scanning stripes with bankOf() is for tests only.
+     * Panics when the row holds fewer granules of that bank (only an
+     * unbalanced mapping can leave a class short or empty).
+     */
+    HostPhysAddr bankRowAddress(BankId bank, RowId row,
+                                uint64_t granule = 0) const;
+
     /** Equality of the mapping function (used by DRAMDig tests). */
     bool operator==(const AddressMapping &other) const;
 

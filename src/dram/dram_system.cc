@@ -102,18 +102,10 @@ DramSystem::timedAccess(HostPhysAddr addr)
 HostPhysAddr
 DramSystem::cellAddress(BankId bank, RowId row, const WeakCell &cell) const
 {
-    const AddressMapping &map = cfg.mapping;
-    const BankId cls = bank ^ map.rowClass(row);
-    const auto &offsets = map.classOffsets(cls);
-    const uint64_t granule = 1ull << map.interleaveShift();
-    const uint64_t granule_idx = cell.byteInRow / granule;
-    const uint64_t byte_in_granule = cell.byteInRow % granule;
-    HH_ASSERT(granule_idx < offsets.size());
-    const uint64_t addr = (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(offsets[granule_idx])
-           << map.interleaveShift())
-        | byte_in_granule;
-    return HostPhysAddr(addr);
+    const uint64_t granule = 1ull << cfg.mapping.interleaveShift();
+    return cfg.mapping.bankRowAddress(bank, row,
+                                      cell.byteInRow / granule)
+        + cell.byteInRow % granule;
 }
 
 void

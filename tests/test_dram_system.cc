@@ -9,6 +9,7 @@
 
 #include <optional>
 
+#include "base/rng.h"
 #include "base/sim_clock.h"
 #include "dram/dram_system.h"
 
@@ -27,17 +28,6 @@ testConfig(uint64_t seed = 5)
     cfg.fault.minThreshold = 50'000;
     cfg.fault.maxThreshold = 150'000;
     return cfg;
-}
-
-/** Address of the first granule of (bank, row). */
-HostPhysAddr
-addrIn(const AddressMapping &map, BankId bank, RowId row)
-{
-    const BankId cls = bank ^ map.rowClass(row);
-    return HostPhysAddr(
-        (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(map.classOffsets(cls).front())
-           << map.interleaveShift()));
 }
 
 /** First weak (bank,row) with a given direction, plus its cell. */
@@ -88,8 +78,8 @@ TEST_F(DramSystemTest, TimedAccessLatencies)
     const TimingConfig &t = dram.config().timing;
     const AddressMapping &map = dram.mapping();
 
-    const HostPhysAddr a = addrIn(map, 0, 10);
-    const HostPhysAddr b = addrIn(map, 0, 20); // same bank, other row
+    const HostPhysAddr a = map.bankRowAddress(0, 10);
+    const HostPhysAddr b = map.bankRowAddress(0, 20); // same bank, other row
     // First access to an idle bank: row miss.
     EXPECT_EQ(dram.timedAccess(a), t.rowMissLatency);
     // Same row again: hit.
@@ -103,8 +93,8 @@ TEST_F(DramSystemTest, DifferentBanksDoNotConflict)
 {
     DramSystem dram(testConfig(), clock);
     const AddressMapping &map = dram.mapping();
-    const HostPhysAddr a = addrIn(map, 0, 10);
-    const HostPhysAddr b = addrIn(map, 1, 20);
+    const HostPhysAddr a = map.bankRowAddress(0, 10);
+    const HostPhysAddr b = map.bankRowAddress(1, 20);
     (void)dram.timedAccess(a);
     (void)dram.timedAccess(b);
     // Both rows stay open in their banks.
@@ -130,8 +120,8 @@ TEST_F(DramSystemTest, HammerFlipsGroundTruthCell)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const std::vector<HostPhysAddr> aggressors{
-        addrIn(map, spot->bank, spot->row + 1),
-        addrIn(map, spot->bank, spot->row + 2)};
+        map.bankRowAddress(spot->bank, spot->row + 1),
+        map.bankRowAddress(spot->bank, spot->row + 2)};
     const auto events = dram.hammer(aggressors, 200'000);
 
     bool found = false;
@@ -148,6 +138,61 @@ TEST_F(DramSystemTest, HammerFlipsGroundTruthCell)
     EXPECT_GT(dram.totalFlips(), 0u);
 }
 
+TEST_F(DramSystemTest, FlipAddressesMatchFormerCellFormula)
+{
+    // Every flip's word address must be where the formula cellAddress
+    // used before bankRowAddress() put the weak cell, and must decode
+    // back to the event's (bank, row) through bankOf()/rowOf().
+    DramSystem dram(testConfig(), clock);
+    const AddressMapping &map = dram.mapping();
+    const auto former_cell_address = [&](BankId bank, RowId row,
+                                          const WeakCell &cell) {
+        const BankId cls = bank ^ map.rowClass(row);
+        const auto &offsets = map.classOffsets(cls);
+        const uint64_t granule = 1ull << map.interleaveShift();
+        return (static_cast<uint64_t>(row) << map.rowLoBit())
+            | (static_cast<uint64_t>(offsets[cell.byteInRow / granule])
+               << map.interleaveShift())
+            | (cell.byteInRow % granule);
+    };
+
+    // Seeded sample of weak (bank, row) victims, hammered from the two
+    // rows above so the victim's cells can flip.
+    base::Rng rng(31);
+    const RowId max_row = (dram.size() - 1) >> map.rowLoBit();
+    uint64_t checked = 0;
+    for (int spots = 0; spots < 24;) {
+        const auto bank = static_cast<BankId>(rng.below(map.bankCount()));
+        const RowId row = rng.below(max_row - 3);
+        if (dram.faultModel().weakCellsInRow(bank, row).empty())
+            continue;
+        ++spots;
+        for (uint64_t fill : {~0ull, 0ull}) {
+            for (RowId r = row; r <= row + 3; ++r)
+                fillRow(dram, r, fill);
+            for (const FlipEvent &event :
+                 dram.hammer({map.bankRowAddress(bank, row + 1),
+                              map.bankRowAddress(bank, row + 2)},
+                             200'000)) {
+                EXPECT_EQ(map.bankOf(event.wordAddr), event.bank);
+                EXPECT_EQ(map.rowOf(event.wordAddr), event.row);
+                bool matched = false;
+                for (const WeakCell &cell : dram.faultModel()
+                         .weakCellsInRow(event.bank, event.row)) {
+                    matched |= cell.bitInWord() == event.bitInWord
+                        && (former_cell_address(event.bank, event.row,
+                                                cell)
+                            & ~7ull)
+                            == event.wordAddr.value();
+                }
+                EXPECT_TRUE(matched);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
+}
+
 TEST_F(DramSystemTest, DirectionGateRespectsStoredValue)
 {
     DramSystem dram(testConfig(), clock);
@@ -158,8 +203,8 @@ TEST_F(DramSystemTest, DirectionGateRespectsStoredValue)
     fillRow(dram, spot->row, 0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.bankRowAddress(spot->bank, spot->row + 1),
+         map.bankRowAddress(spot->bank, spot->row + 2)},
         200'000);
     for (const FlipEvent &event : events) {
         EXPECT_FALSE(event.bank == spot->bank && event.row == spot->row
@@ -175,8 +220,8 @@ TEST_F(DramSystemTest, BelowThresholdNoFlips)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.bankRowAddress(spot->bank, spot->row + 1),
+         map.bankRowAddress(spot->bank, spot->row + 2)},
         1'000); // far below minThreshold
     EXPECT_TRUE(events.empty());
 }
@@ -191,8 +236,8 @@ TEST_F(DramSystemTest, AggressorRowsAreNotVictims)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row),
-         addrIn(map, spot->bank, spot->row + 1)},
+        {map.bankRowAddress(spot->bank, spot->row),
+         map.bankRowAddress(spot->bank, spot->row + 1)},
         200'000);
     for (const FlipEvent &event : events)
         EXPECT_FALSE(event.row == spot->row && event.bank == spot->bank);
@@ -214,8 +259,8 @@ TEST_F(DramSystemTest, RefreshWindowCapsDisturbance)
     // window fits ~680 k activations of a two-row pattern, and the
     // counters reset across windows.
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.bankRowAddress(spot->bank, spot->row + 1),
+         map.bankRowAddress(spot->bank, spot->row + 2)},
         10'000'000);
     EXPECT_TRUE(events.empty());
 }
@@ -225,7 +270,7 @@ TEST_F(DramSystemTest, HammerChargesRowCycles)
     DramSystem dram(testConfig(), clock);
     const AddressMapping &map = dram.mapping();
     const base::SimTime before = clock.now();
-    (void)dram.hammer({addrIn(map, 0, 10), addrIn(map, 0, 11)},
+    (void)dram.hammer({map.bankRowAddress(0, 10), map.bankRowAddress(0, 11)},
                       100'000);
     const base::SimTime charged = clock.now() - before;
     EXPECT_EQ(charged, 2u * 100'000 * dram.config().timing.rowCycle);
@@ -242,8 +287,8 @@ TEST_F(DramSystemTest, TrrBlocksSmallPatterns)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.bankRowAddress(spot->bank, spot->row + 1),
+         map.bankRowAddress(spot->bank, spot->row + 2)},
         200'000);
     EXPECT_TRUE(events.empty());
     EXPECT_GT(dram.trrSuppressions(), 0u);
@@ -259,8 +304,8 @@ TEST_F(DramSystemTest, EccSuppressesSingleBitFlips)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.bankRowAddress(spot->bank, spot->row + 1),
+         map.bankRowAddress(spot->bank, spot->row + 2)},
         200'000);
     EXPECT_TRUE(events.empty());
     EXPECT_GT(dram.eccCorrectedFlips(), 0u);

@@ -69,11 +69,7 @@ TEST(DramDig, ConflictDetection)
     // pair from ground truth.
     const dram::BankId bank = 3;
     const auto addr_in = [&](dram::RowId row) {
-        const dram::BankId cls = bank ^ map.rowClass(row);
-        return HostPhysAddr(
-            (static_cast<uint64_t>(row) << map.rowLoBit())
-            | (static_cast<uint64_t>(map.classOffsets(cls).front())
-               << map.interleaveShift()));
+        return map.bankRowAddress(bank, row);
     };
     EXPECT_TRUE(dig.conflicts(addr_in(10), addr_in(99)));
 

@@ -21,10 +21,10 @@ class ProfilerTest : public ::testing::Test
 {
   protected:
     void
-    boot(uint64_t seed = 42, double density_scale = 1.0)
+    boot(uint64_t seed = 42, double density_scale = 1.0,
+         sys::SystemConfig (*system)(uint64_t) = &sys::SystemConfig::s1)
     {
-        sys::SystemConfig cfg =
-            sys::SystemConfig::s1(seed).withMemory(1_GiB);
+        sys::SystemConfig cfg = system(seed).withMemory(1_GiB);
         cfg.dram.fault.weakCellsPerRow *= density_scale;
         machine.reset(); // references the old host; drop it first
         host = std::make_unique<sys::HostSystem>(cfg);
@@ -52,29 +52,33 @@ class ProfilerTest : public ::testing::Test
 
 TEST_F(ProfilerTest, AggressorPairsShareABank)
 {
-    boot();
-    MemoryProfiler profiler(*machine, host->clock(),
-                            host->dram().mapping(), ProfilerConfig{});
-    const GuestPhysAddr hp = region().front();
-    const auto candidates = profiler.aggressorCandidates(hp, false);
-    // One pair per bank label.
-    EXPECT_EQ(candidates.size(), host->dram().mapping().bankCount());
+    // S1 carries the i3-10100 mapping, S2 the Xeon E3-2124 one.
+    for (auto system : {&sys::SystemConfig::s1, &sys::SystemConfig::s2}) {
+        boot(42, 1.0, system);
+        const dram::AddressMapping &map = host->dram().mapping();
+        SCOPED_TRACE(map.describe());
+        MemoryProfiler profiler(*machine, host->clock(), map,
+                                ProfilerConfig{});
+        const GuestPhysAddr hp = region().front();
+        const auto candidates = profiler.aggressorCandidates(hp, false);
+        // One pair per bank label.
+        EXPECT_EQ(candidates.size(), map.bankCount());
 
-    const dram::AddressMapping &map = host->dram().mapping();
-    std::set<dram::BankId> banks;
-    for (const auto &pair : candidates) {
-        ASSERT_EQ(pair.size(), 2u);
-        // Translate both: the pair must land in the same REAL bank,
-        // in adjacent rows.
-        auto a = machine->debugTranslate(pair[0]);
-        auto b = machine->debugTranslate(pair[1]);
-        ASSERT_TRUE(a.ok() && b.ok());
-        EXPECT_EQ(map.bankOf(*a), map.bankOf(*b));
-        EXPECT_EQ(map.rowOf(*a) + 1, map.rowOf(*b));
-        banks.insert(map.bankOf(*a));
+        std::set<dram::BankId> banks;
+        for (const auto &pair : candidates) {
+            ASSERT_EQ(pair.size(), 2u);
+            // Translate both: the pair must land in the same REAL
+            // bank, in adjacent rows.
+            auto a = machine->debugTranslate(pair[0]);
+            auto b = machine->debugTranslate(pair[1]);
+            ASSERT_TRUE(a.ok() && b.ok());
+            EXPECT_EQ(map.bankOf(*a), map.bankOf(*b));
+            EXPECT_EQ(map.rowOf(*a) + 1, map.rowOf(*b));
+            banks.insert(map.bankOf(*a));
+        }
+        // All banks are covered.
+        EXPECT_EQ(banks.size(), map.bankCount());
     }
-    // All banks are covered.
-    EXPECT_EQ(banks.size(), map.bankCount());
 }
 
 TEST_F(ProfilerTest, TopBorderPairsUseLastRows)

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <thread>
+
+#include "../bench/bench_json.h"
 #include "analysis/report.h"
 
 namespace hh::analysis {
@@ -77,6 +82,19 @@ TEST(RenderSeries, EmptyInputsAreSafe)
     EXPECT_EQ(renderSeries({}, 60, 12), "");
     base::Series empty("e");
     EXPECT_EQ(renderSeries({empty}, 60, 12), "");
+}
+
+TEST(JsonReport, WallSecondsCoverTheProcessNotTheReport)
+{
+    // A report constructed late (after its bench's work) must still
+    // time the whole process, so the sleep has to show up.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const bench::JsonReport report("test_report");
+    const std::string json = report.render();
+    const std::string key = "\"env_wall_seconds\": ";
+    const size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_GE(std::stod(json.substr(at + key.size())), 0.2);
 }
 
 } // namespace
