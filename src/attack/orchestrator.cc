@@ -430,7 +430,7 @@ HyperHammerAttack::runTrial(uint64_t trial) const
     sys::SystemConfig trial_cfg = host.config();
     trial_cfg.seed = base::SeedSequence(host.config().seed).seed(trial);
     HH_ASSERT(trialTemplate != nullptr);
-    const std::unique_ptr<sys::HostSystem> forked =
+    std::unique_ptr<sys::HostSystem> forked =
         sys::HostSystem::forkTrial(*trialTemplate, trial_cfg);
     sys::HostSystem &trial_host = *forked;
 
@@ -443,6 +443,7 @@ HyperHammerAttack::runTrial(uint64_t trial) const
     // Like serial attempts, the cost includes the VM spawn, which
     // dominates in practice (Table 3's ~4 min average).
     outcome.duration = trial_host.clock().now() - start;
+    sys::HostSystem::discardTrial(std::move(forked), std::move(current));
     return outcome;
 }
 

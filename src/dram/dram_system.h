@@ -122,8 +122,8 @@ class DramSystem
     DramSystem &operator=(const DramSystem &) = delete;
 
     /**
-     * A copy-on-write clone of @p src ticking @p clock. O(overlay
-     * pages); call src.backend().freeze() first to make it O(1).
+     * A copy-on-write clone of @p src ticking @p clock; the memory
+     * share costs O(chunk pointers), whatever the contents.
      */
     static std::unique_ptr<DramSystem>
     forkFrom(const DramSystem &src, base::SimClock &clock)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/container_util.h"
 #include "base/log.h"
 
 namespace hh::dram {
@@ -15,52 +14,43 @@ wordIndex(HostPhysAddr addr)
     return static_cast<uint16_t>((addr.value() & (kPageSize - 1)) / 8);
 }
 
-struct IdxLess
+/** First override whose word index is not below @p idx. */
+template <typename Overrides>
+auto
+lowerBound(Overrides &overrides, uint16_t idx)
 {
-    bool
-    operator()(const std::pair<uint16_t, uint64_t> &entry,
-               uint16_t idx) const
-    {
-        return entry.first < idx;
-    }
-};
+    return std::lower_bound(
+        overrides.begin(), overrides.end(), idx,
+        [](const std::pair<uint16_t, uint64_t> &entry, uint16_t key) {
+            return entry.first < key;
+        });
+}
 
 } // namespace
 
 std::vector<std::pair<uint16_t, uint64_t>>::const_iterator
 MemoryBackend::PageData::find(uint16_t idx) const
 {
-    auto it = std::lower_bound(overrides.begin(), overrides.end(), idx,
-                               IdxLess{});
+    const auto it = lowerBound(overrides, idx);
     if (it != overrides.end() && it->first == idx)
         return it;
     return overrides.end();
 }
 
-const MemoryBackend::PageData *
-MemoryBackend::lookup(Pfn pfn) const
-{
-    if (const auto it = pages.find(pfn); it != pages.end())
-        return it->second.erased ? nullptr : &it->second;
-    if (shared) {
-        if (const auto it = shared->find(pfn); it != shared->end())
-            return &it->second;
-    }
-    return nullptr;
-}
-
 MemoryBackend::PageData &
 MemoryBackend::mutablePage(Pfn pfn)
 {
-    if (const auto it = pages.find(pfn); it != pages.end()) {
-        if (it->second.erased)
-            it->second = PageData{};
-        return it->second;
+    PageData &page = pages.mut(pfn);
+    if (page.epoch != epoch) {
+        // First change since the last freeze(): the page's current
+        // state is what that freeze() saw.
+        page.frozen = page.present;
+        page.epoch = epoch;
+        ++touchedCount;
     }
-    PageData &page = pages[pfn];
-    if (shared) {
-        if (const auto it = shared->find(pfn); it != shared->end())
-            page = it->second; // unshare: copy this one page up
+    if (!page.present) {
+        page.present = true;
+        ++presentCount;
     }
     return page;
 }
@@ -82,8 +72,7 @@ MemoryBackend::write64(HostPhysAddr addr, uint64_t value)
     HH_ASSERT(contains(addr));
     PageData &page = mutablePage(addr.pfn());
     const uint16_t idx = wordIndex(addr);
-    auto it = std::lower_bound(page.overrides.begin(),
-                               page.overrides.end(), idx, IdxLess{});
+    const auto it = lowerBound(page.overrides, idx);
     const bool present =
         it != page.overrides.end() && it->first == idx;
     if (value == page.fill) {
@@ -99,15 +88,30 @@ MemoryBackend::write64(HostPhysAddr addr, uint64_t value)
 void
 MemoryBackend::clearPage(Pfn pfn)
 {
-    if (shared && shared->count(pfn) != 0) {
-        // The template still carries this page; shadow it with a
-        // tombstone so the shared data stays untouched.
-        PageData &page = pages[pfn];
-        page = PageData{};
-        page.erased = true;
-        return;
+    const PageData &current = pages[pfn];
+    if (!current.present)
+        return; // already reads as zero
+    const bool touched = current.epoch == epoch;
+    const bool frozen = !touched || current.frozen;
+    PageData &page = pages.mut(pfn);
+    page.present = false;
+    --presentCount;
+    page.fill = 0;
+    page.overrides = {};
+    if (frozen) {
+        // The last freeze() saw data here: clearing it is a change
+        // since then, so the page counts as touched.
+        page.frozen = true;
+        if (!touched) {
+            page.epoch = epoch;
+            ++touchedCount;
+        }
+    } else {
+        // Data written since the last freeze() is gone again: the page
+        // is back to untouched memory.
+        page.epoch = 0;
+        --touchedCount;
     }
-    pages.erase(pfn);
 }
 
 void
@@ -119,11 +123,9 @@ MemoryBackend::fillPage(Pfn pfn, uint64_t pattern)
         clearPage(pfn);
         return;
     }
-    PageData &page = pages[pfn];
+    PageData &page = mutablePage(pfn);
     page.fill = pattern;
-    page.erased = false;
-    page.overrides.clear();
-    page.overrides.shrink_to_fit();
+    page.overrides = {};
 }
 
 uint64_t
@@ -172,28 +174,16 @@ MemoryBackend::mismatchedWords(Pfn pfn, uint64_t expected_fill) const
     return mismatches;
 }
 
-void
-MemoryBackend::freeze()
-{
-    PageMap merged;
-    if (shared)
-        merged = *shared;
-    for (auto &[pfn, page] : pages) {
-        if (page.erased)
-            merged.erase(pfn);
-        else
-            merged[pfn] = std::move(page);
-    }
-    shared = std::make_shared<const PageMap>(std::move(merged));
-    pages.clear();
-}
-
 MemoryBackend
 MemoryBackend::fork() const
 {
-    MemoryBackend forked(totalBytes);
-    forked.shared = shared;
-    forked.pages = pages;
+    MemoryBackend forked(0);
+    forked.totalBytes = totalBytes;
+    forked.pages = pages.fork();
+    forked.epoch = epoch;
+    forked.touchedCount = touchedCount;
+    forked.templateCount = templateCount;
+    forked.presentCount = presentCount;
     return forked;
 }
 
@@ -201,18 +191,11 @@ std::vector<Pfn>
 MemoryBackend::mergedPfns() const
 {
     std::vector<Pfn> pfns;
-    pfns.reserve(pages.size() + (shared ? shared->size() : 0));
-    for (const auto &[pfn, page] : pages) {
-        if (!page.erased)
+    pfns.reserve(presentCount);
+    pages.forEachAllocated([&pfns](uint64_t pfn, const PageData &page) {
+        if (page.present)
             pfns.push_back(pfn);
-    }
-    if (shared) {
-        for (const auto &[pfn, page] : *shared) {
-            if (pages.count(pfn) == 0)
-                pfns.push_back(pfn);
-        }
-    }
-    std::sort(pfns.begin(), pfns.end());
+    });
     return pfns;
 }
 
@@ -237,16 +220,24 @@ MemoryBackend::saveState(base::ArchiveWriter &w) const
 base::Status
 MemoryBackend::loadState(base::ArchiveReader &r)
 {
-    PageMap loaded;
+    PageArray loaded(pages.size());
+    size_t loaded_count = 0;
     const uint64_t page_count = r.count(16);
-    loaded.reserve(page_count);
+    Pfn prev_pfn = 0;
     for (uint64_t i = 0; i < page_count && r.ok(); ++i) {
         const Pfn pfn = r.u64();
-        if (pfn * kPageSize >= totalBytes) {
+        // PFNs must be in range and strictly increasing, as saveState()
+        // writes them: a repeated PFN would append a second, unsorted
+        // override list to the same page.
+        if (pfn >= loaded.size() || (i > 0 && pfn <= prev_pfn)) {
             r.fail();
             break;
         }
-        PageData &page = loaded[pfn];
+        prev_pfn = pfn;
+        PageData &page = loaded.mut(pfn);
+        page.present = true;
+        page.epoch = epoch;
+        ++loaded_count;
         page.fill = r.u64();
         const uint64_t override_count = r.count(10);
         page.overrides.reserve(override_count);
@@ -266,10 +257,11 @@ MemoryBackend::loadState(base::ArchiveReader &r)
     }
     if (!r.ok())
         return r.status();
-    // The loaded stream is the complete logical state: it replaces the
-    // overlay and detaches from any shared template.
+    // The loaded stream is the complete logical state: every page it
+    // carries counts as touched, and nothing is frozen any more.
     pages = std::move(loaded);
-    shared.reset();
+    touchedCount = presentCount = loaded_count;
+    templateCount = 0;
     return base::Status::success();
 }
 

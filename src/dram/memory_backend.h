@@ -10,27 +10,23 @@
  * map, which makes "fill 12 GB with 0xff" an O(pages) metadata operation
  * and keeps page-table pages exact.
  *
- * Forking (the Monte-Carlo trial engine's clone path) is page-granular
- * copy-on-write: freeze() publishes the current contents as an immutable
- * shared template, and fork() produces a backend that references the
- * template and keeps its own private overlay. Reads fall through
- * overlay -> template -> zero; the first write to a template page copies
- * that one page into the overlay (write-time unsharing). Clearing a
- * template page records a tombstone in the overlay, so no fork can ever
- * mutate the shared template -- and forking costs O(overlay pages), not
- * O(memory).
+ * Pages live in one base::CowChunks array indexed by PFN, 512 pages
+ * (one 2 MB hugepage) per chunk: a read or write is an index plus a
+ * chunk pointer, and never-touched chunks are never allocated. Forking
+ * (the Monte-Carlo trial engine's clone path) copies the chunk pointer
+ * table; the first write to a chunk still shared with another backend
+ * copies that one chunk, so no fork can ever mutate what another sees.
  */
 
 #ifndef HYPERHAMMER_DRAM_MEMORY_BACKEND_H
 #define HYPERHAMMER_DRAM_MEMORY_BACKEND_H
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "base/archive.h"
+#include "base/cow_chunks.h"
 #include "base/types.h"
 
 namespace hh::dram {
@@ -42,10 +38,12 @@ namespace hh::dram {
 class MemoryBackend
 {
   public:
-    explicit MemoryBackend(uint64_t total_bytes) : totalBytes(total_bytes)
+    explicit MemoryBackend(uint64_t total_bytes)
+        : totalBytes(total_bytes),
+          pages((total_bytes + kPageSize - 1) / kPageSize)
     {}
 
-    /** Deep copies are banned: clone worlds via freeze() + fork(). */
+    /** Deep copies are banned: clone worlds via fork(). */
     MemoryBackend(const MemoryBackend &) = delete;
     MemoryBackend &operator=(const MemoryBackend &) = delete;
     MemoryBackend(MemoryBackend &&) = default;
@@ -83,52 +81,43 @@ class MemoryBackend
                                           uint64_t expected_fill) const;
 
     /**
-     * Number of *overlay* frames carrying private data (fill,
-     * overrides, or a tombstone over a template page). Frames served
-     * unmodified from the shared template are not counted: the value
-     * measures what this fork privately owns, which is both the
-     * capacity-test metric and the clone cost of fork().
+     * Number of frames this backend privately touched since its last
+     * freeze() (inherited by fork()): frames it wrote, filled, or
+     * cleared while the frozen contents still carried them. Frames
+     * served unmodified from the frozen contents are not counted, and
+     * a frame cleared back to untouched memory stops counting. The
+     * value measures what a trial world wrote on top of its template.
      */
-    size_t touchedPages() const { return pages.size(); }
+    size_t touchedPages() const { return touchedCount; }
 
-    /** Frames in the shared template (0 when never frozen). */
-    size_t templatePages() const { return shared ? shared->size() : 0; }
+    /** Frames carrying data at the last freeze() (0 when never frozen). */
+    size_t templatePages() const { return templateCount; }
 
-    /** Drop all contents, template reference included. */
-    void
-    clear()
-    {
-        pages.clear();
-        shared.reset();
-    }
-
-    /**
-     * Drop the contents of one frame (reads revert to zero). On a
-     * forked backend this shadows the template page with a tombstone;
-     * the template itself is never modified.
-     */
+    /** Drop the contents of one frame (reads revert to zero). */
     void clearPage(Pfn pfn);
 
     /**
-     * Publish the current contents (template plus overlay, merged) as
-     * a new immutable shared template and empty the overlay. After
-     * freezing, fork() is O(1) and every mutation unshares at page
-     * granularity. Costs O(touched pages); idempotent.
+     * Mark the current contents as the template: touchedPages() drops
+     * to zero and counts again from here. O(1); idempotent.
      */
-    void freeze();
+    void
+    freeze()
+    {
+        ++epoch;
+        templateCount = presentCount;
+        touchedCount = 0;
+    }
 
     /**
-     * A copy-on-write clone: shares this backend's template (if any)
-     * and duplicates only the private overlay. Call freeze() first to
-     * make the overlay empty and the fork O(1).
+     * A copy-on-write clone: shares every chunk of pages and inherits
+     * touchedPages(). O(chunks), whatever the contents.
      */
     MemoryBackend fork() const;
 
     /**
-     * Serialize all pages carrying data (in sorted-Pfn order). The
-     * merged template/overlay view is traversed in place -- forked
-     * state is never materialized -- and the byte stream is identical
-     * to what a flat backend of the same logical contents writes.
+     * Serialize all pages carrying data (in sorted-Pfn order). Shared
+     * chunks are read in place, so the byte stream depends only on the
+     * logical contents, never on how a backend was forked.
      */
     void saveState(base::ArchiveWriter &w) const;
 
@@ -148,40 +137,53 @@ class MemoryBackend
          */
         std::vector<std::pair<uint16_t, uint64_t>> overrides;
         /**
-         * Overlay-only tombstone: this fork cleared a page the shared
-         * template still carries. Reads see zero; saveState() skips
-         * the page entirely (matching a flat backend's erase).
+         * freeze() generation of this backend's last change to the
+         * page; equal to the backend's current epoch iff the page
+         * counts in touchedPages().
          */
-        bool erased = false;
+        uint32_t epoch = 0;
+        /** The page carries data (saveState() writes it). */
+        bool present = false;
+        /** The page carried data at the freeze() before its epoch. */
+        bool frozen = false;
 
         /** Iterator to the override for @p idx, or end(). */
         std::vector<std::pair<uint16_t, uint64_t>>::const_iterator
         find(uint16_t idx) const;
     };
 
-    using PageMap = std::unordered_map<Pfn, PageData>;
+    /** Pages per chunk: one 2 MB hugepage. */
+    using PageArray = base::CowChunks<PageData, 9>;
+
+    /** The page at @p pfn when it carries data, else nullptr (zero). */
+    const PageData *
+    lookup(Pfn pfn) const
+    {
+        const PageData &page = pages[pfn];
+        return page.present ? &page : nullptr;
+    }
 
     /**
-     * Effective page for reads: overlay wins (tombstones read as
-     * absent), then the template, then nullptr (= all-zero).
-     */
-    const PageData *lookup(Pfn pfn) const;
-
-    /**
-     * Overlay entry for writes, copying the template page up on first
-     * touch (write-time unsharing) and reviving tombstones as empty
-     * pages.
+     * Writable page (unsharing its chunk), counted as touched; a page
+     * without data comes back present and all-zero.
      */
     PageData &mutablePage(Pfn pfn);
 
-    /** Sorted PFNs of the merged view, tombstoned pages excluded. */
+    /** Sorted PFNs of the pages carrying data. */
     std::vector<Pfn> mergedPfns() const;
 
+    // hh-lint: allow(snapshot-field-coverage) -- construction-time geometry; loadState() only validates PFNs against it
     uint64_t totalBytes;
-    /** Private overlay: every page this instance has touched. */
-    PageMap pages;
-    /** Immutable shared template (null until the first freeze()). */
-    std::shared_ptr<const PageMap> shared;
+    PageArray pages;
+    /** Current freeze() generation; 0 marks pages never touched. */
+    // hh-lint: allow(snapshot-field-coverage) -- fork accounting, not contents: loaded pages are stamped with the current epoch
+    uint32_t epoch = 1;
+    // hh-lint: allow(snapshot-field-coverage) -- fork accounting, not contents: a loaded stream counts as all touched, nothing frozen
+    size_t touchedCount = 0;
+    // hh-lint: allow(snapshot-field-coverage) -- fork accounting, not contents: a loaded stream counts as all touched, nothing frozen
+    size_t templateCount = 0;
+    /** Pages carrying data (the next freeze()'s templatePages()). */
+    size_t presentCount = 0;
 };
 
 } // namespace hh::dram

@@ -55,6 +55,8 @@ IoPageTable::IoPageTable(dram::DramSystem &dram,
 
 IoPageTable::~IoPageTable()
 {
+    if (buddy.discarding())
+        return;
     for (Pfn pfn : tablePages) {
         dram.backend().clearPage(pfn);
         buddy.freePages(pfn, 0);

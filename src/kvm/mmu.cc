@@ -32,6 +32,8 @@ Mmu::Mmu(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
 
 Mmu::~Mmu()
 {
+    if (buddy.discarding())
+        return;
     for (Pfn pfn : tablePages) {
         dram.backend().clearPage(pfn);
         buddy.freePages(pfn, 0);

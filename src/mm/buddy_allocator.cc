@@ -757,7 +757,10 @@ BuddyAllocator::loadState(base::ArchiveReader &r)
         }
     }
 
-    frames = FrameStore(new_frames);
+    base::CowChunks<PageFrame, 12> loaded(new_frames.size());
+    for (Pfn pfn = 0; pfn < new_frames.size(); ++pfn)
+        loaded.mut(pfn) = new_frames[pfn];
+    frames = std::move(loaded);
     domains = std::move(new_domains);
     freeCount = new_free_count;
     return base::Status::success();

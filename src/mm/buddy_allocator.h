@@ -25,11 +25,15 @@
 #include <vector>
 
 #include "base/archive.h"
+#include "base/cow_chunks.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "fault/fault.h"
-#include "mm/frame_store.h"
 #include "mm/page.h"
+
+namespace hh::sys {
+class HostSystem;
+} // namespace hh::sys
 
 namespace hh::mm {
 
@@ -237,7 +241,17 @@ class BuddyAllocator
      */
     [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
 
+    /**
+     * True while the world owning this allocator is being dropped
+     * whole (sys::HostSystem::discardTrial). Frame owners then skip
+     * handing their frames back: the allocator and the memory go with
+     * them, so the unmaps, unpins and frees would be dead work.
+     */
+    bool discarding() const { return discardingWorld; }
+
   private:
+    friend class sys::HostSystem;
+
     struct FreeList
     {
         Pfn head = kInvalidPfn;
@@ -265,7 +279,12 @@ class BuddyAllocator
         std::array<std::vector<Pfn>, kMigrateTypes> pcp;
     };
 
-    FrameStore frames;
+    /**
+     * The frame database, copy-on-write across forks: 4096 frames
+     * (16 MiB of managed memory) per chunk, so a trial that touches N
+     * frames pays O(N / 4096) chunk copies, not O(total frames).
+     */
+    base::CowChunks<PageFrame, 12> frames;
     std::vector<Domain> domains;
     uint64_t freeCount = 0;
 
@@ -275,6 +294,8 @@ class BuddyAllocator
     // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
     bool crossFallback = false;
     fault::FaultInjector *faultInjector = nullptr;
+    // hh-lint: allow(snapshot-field-coverage) -- set only on the way to destruction, so a saved allocator never carries it
+    bool discardingWorld = false;
 
     Domain &domainOf(Pfn pfn);
     const Domain &domainOf(Pfn pfn) const;

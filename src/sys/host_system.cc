@@ -193,6 +193,14 @@ HostSystem::forkTrial(const HostSystem &tmpl,
     return std::make_unique<HostSystem>(TrialTag{}, tmpl, trial_cfg);
 }
 
+void
+HostSystem::discardTrial(std::unique_ptr<HostSystem> world,
+                         std::unique_ptr<vm::VirtualMachine> machine)
+{
+    world->allocator->discardingWorld = true;
+    machine.reset();
+}
+
 std::unique_ptr<HostSystem>
 HostSystem::fork() const
 {

@@ -143,18 +143,29 @@ class HostSystem
     forkTrial(const HostSystem &tmpl, const SystemConfig &trial_cfg);
 
     /**
+     * Drop a trial world together with the VM it booted. Nothing of
+     * the world outlives this call, so the VM is destroyed without
+     * its teardown -- no unplug, unmap, unpin, page clear or buddy
+     * free: its frames and page contents go with the world. Destroying
+     * a VM any other way (in-host respawns, a live host) keeps the
+     * full teardown.
+     */
+    static void discardTrial(std::unique_ptr<HostSystem> world,
+                             std::unique_ptr<vm::VirtualMachine> machine);
+
+    /**
      * Copy-on-write clone of this (booted) host: same config, same
      * seed, same state -- the forked world diverges from the original
-     * only through its own subsequent writes. Costs O(overlay pages);
-     * call freezeMemory() first to make the memory share O(1). VMs
+     * only through its own subsequent writes. The memory and frame
+     * database are shared copy-on-write at O(chunk pointers). VMs
      * are owned by callers and do not travel with the fork.
      */
     std::unique_ptr<HostSystem> fork() const;
 
     /**
-     * Publish the memory backend's current contents as the shared
-     * immutable template so subsequent fork()s share rather than copy
-     * them. Idempotent; O(touched pages).
+     * Mark the memory backend's current contents as the template its
+     * touchedPages() (and every later fork's) counts from.
+     * Idempotent; O(1).
      */
     void freezeMemory() { dramSys->backend().freeze(); }
 

@@ -7,6 +7,8 @@ namespace hh::virtio {
 
 VirtioBalloonDevice::~VirtioBalloonDevice()
 {
+    if (buddy.discarding())
+        return;
     // Replacement frames are not part of any original backing block;
     // return them before the block-wise teardown runs. GPA-sorted so
     // the allocator's free lists end up in a reproducible state.

@@ -63,6 +63,8 @@ VirtioMemDevice::VirtioMemDevice(dram::DramSystem &dram,
 
 VirtioMemDevice::~VirtioMemDevice()
 {
+    if (buddy.discarding())
+        return;
     // Release remaining plugged blocks back to the host (VM teardown).
     for (SubBlockId sb = 0; sb < plugged.size(); ++sb) {
         if (plugged[sb])

@@ -122,6 +122,11 @@ VirtualMachine::VirtualMachine(dram::DramSystem &dram,
 
 VirtualMachine::~VirtualMachine()
 {
+    // A discarded world takes every frame with it, so the teardown
+    // below -- and each device's own -- is skipped
+    // (sys::HostSystem::discardTrial).
+    if (buddy.discarding())
+        return;
     // Order matters: the virtio-mem device unplugs its blocks through
     // the MMU and VFIO container, so tear it down first.
     balloonDev.reset();
@@ -242,50 +247,6 @@ VirtualMachine::scanHugePage(GuestPhysAddr gpa, uint64_t expected)
         }
     }
     return mismatches;
-}
-
-base::Status
-VirtualMachine::writePageWords(
-    GuestPhysAddr hp,
-    const std::function<uint64_t(GuestPhysAddr)> &value)
-{
-    if (!hp.hugePageAligned())
-        return base::ErrorCode::InvalidArgument;
-    const std::vector<Pfn> frames = eptMmu->leafFrames(hp);
-    bool any = false;
-    for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
-        if (frames[i] == kInvalidPfn || frames[i] >= dram.pageCount())
-            continue;
-        const GuestPhysAddr page = hp + i * kPageSize;
-        dram.write64(HostPhysAddr(frames[i] * kPageSize), value(page));
-        any = true;
-    }
-    return any ? base::Status::success()
-               : base::Status(base::ErrorCode::NotFound);
-}
-
-std::vector<VirtualMachine::PageWord>
-VirtualMachine::readPageWords(GuestPhysAddr hp)
-{
-    std::vector<PageWord> words;
-    if (!hp.hugePageAligned())
-        return words;
-    const std::vector<Pfn> frames = eptMmu->leafFrames(hp);
-    words.reserve(kPagesPerHugePage);
-    for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
-        PageWord word;
-        word.page = hp + i * kPageSize;
-        if (frames[i] == kInvalidPfn) {
-            continue; // page not mapped at all: skip, not fault
-        } else if (frames[i] >= dram.pageCount()) {
-            word.fault = true;
-        } else {
-            word.value =
-                dram.read64(HostPhysAddr(frames[i] * kPageSize));
-        }
-        words.push_back(word);
-    }
-    return words;
 }
 
 kvm::AccessResult

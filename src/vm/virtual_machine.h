@@ -144,12 +144,51 @@ class VirtualMachine
      * page of the hugepage at @p hp. One page-table walk per
      * hugepage (TLB-warm guest loop), then per-page stores.
      */
+    template <typename ValueFn>
     [[nodiscard]] base::Status
-    writePageWords(GuestPhysAddr hp,
-                   const std::function<uint64_t(GuestPhysAddr)> &value);
+    writePageWords(GuestPhysAddr hp, ValueFn &&value)
+    {
+        if (!hp.hugePageAligned())
+            return base::ErrorCode::InvalidArgument;
+        const std::vector<Pfn> frames = eptMmu->leafFrames(hp);
+        bool any = false;
+        for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
+            if (frames[i] == kInvalidPfn || frames[i] >= dram.pageCount())
+                continue;
+            dram.write64(HostPhysAddr(frames[i] * kPageSize),
+                         value(hp + i * kPageSize));
+            any = true;
+        }
+        return any ? base::Status::success()
+                   : base::Status(base::ErrorCode::NotFound);
+    }
 
-    /** Read the first word of every 4 KB page of one hugepage. */
-    std::vector<PageWord> readPageWords(GuestPhysAddr hp);
+    /**
+     * Call @p visit(const PageWord &) with the first word of every
+     * mapped 4 KB page of the hugepage at @p hp, in page order.
+     * Unmapped pages are skipped; a mapping beyond physical memory
+     * is visited as a fault.
+     */
+    template <typename Visit>
+    void
+    readPageWords(GuestPhysAddr hp, Visit &&visit)
+    {
+        if (!hp.hugePageAligned())
+            return;
+        const std::vector<Pfn> frames = eptMmu->leafFrames(hp);
+        for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
+            if (frames[i] == kInvalidPfn)
+                continue;
+            PageWord word;
+            word.page = hp + i * kPageSize;
+            if (frames[i] >= dram.pageCount())
+                word.fault = true;
+            else
+                word.value =
+                    dram.read64(HostPhysAddr(frames[i] * kPageSize));
+            visit(word);
+        }
+    }
 
     /**
      * Execute code at @p gpa. Under the NX-hugepage countermeasure an

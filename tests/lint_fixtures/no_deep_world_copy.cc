@@ -1,8 +1,22 @@
 // Fixture for the no-deep-world-copy rule: world-state types clone
 // through their CoW fork paths (HostSystem::forkTrial,
-// DramSystem::forkFrom, BuddyAllocator::forkFrom, FrameStore::fork);
+// DramSystem::forkFrom, BuddyAllocator::forkFrom, CowChunks::fork);
 // a copy constructor that is not `= delete`d reintroduces the
 // per-trial deep world clone the forking refactor removed.
+
+namespace hh::base {
+
+// The one copy-on-write container: a copying constructor would turn
+// every fork of the memory and frame database into a deep copy.
+template <typename T, unsigned ChunkShift>
+class CowChunks
+{
+  public:
+    CowChunks(const CowChunks &other); // expect: no-deep-world-copy
+    CowChunks(CowChunks &&) = default;
+};
+
+} // namespace hh::base
 
 namespace hh::sys {
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "base/bitops.h"
+#include "base/cow_chunks.h"
 #include "base/rng.h"
 #include "base/sim_clock.h"
 #include "base/stats.h"
@@ -359,6 +360,40 @@ TEST(StatsSnapshot, RawRestoreIsBitwiseEqual)
 
     restored.add(0.5);
     EXPECT_FALSE(stats.bitwiseEqual(restored));
+}
+
+TEST(CowChunks, UnwrittenChunksReadAsDefaultAndStayUnallocated)
+{
+    CowChunks<uint64_t, 2> array(10); // chunks of 4; the last holds 2
+    EXPECT_EQ(array.size(), 10u);
+    EXPECT_EQ(array[9], 0u);
+    EXPECT_EQ(array.unsharedChunks(), 0u);
+    array.mut(5) = 55;
+    EXPECT_EQ(array[5], 55u);
+    EXPECT_EQ(array[4], 0u);
+    EXPECT_EQ(array.unsharedChunks(), 1u);
+    std::vector<uint64_t> visited;
+    array.forEachAllocated(
+        [&visited](uint64_t i, uint64_t) { visited.push_back(i); });
+    EXPECT_EQ(visited, (std::vector<uint64_t>{4, 5, 6, 7}));
+}
+
+TEST(CowChunks, WriteUnsharesOnlyItsChunk)
+{
+    CowChunks<uint64_t, 2> parent(8);
+    parent.mut(0) = 1;
+    parent.mut(4) = 2;
+    CowChunks<uint64_t, 2> child = parent.fork();
+    EXPECT_EQ(child.unsharedChunks(), 0u);
+    child.mut(1) = 10;
+    EXPECT_EQ(child.unsharedChunks(), 1u);
+    EXPECT_EQ(parent.unsharedChunks(), 1u); // chunk 1 is still shared
+    EXPECT_EQ(child[0], 1u);
+    EXPECT_EQ(child[1], 10u);
+    EXPECT_EQ(parent[1], 0u);
+    parent.mut(4) = 3; // the parent unshares too; the child keeps 2
+    EXPECT_EQ(child[4], 2u);
+    EXPECT_EQ(parent[4], 3u);
 }
 
 } // namespace

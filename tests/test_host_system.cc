@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "sys/host_system.h"
 
 namespace hh::sys {
@@ -163,6 +166,106 @@ TEST(HostSystem, S3StartsWithMoreNoiseThanS1)
     HostSystem s1(SystemConfig::s1(7).withMemory(2_GiB));
     HostSystem s3(SystemConfig::s3(7).withMemory(2_GiB));
     EXPECT_GT(s3.noisePages(), s1.noisePages() * 2);
+}
+
+/**
+ * Everything a VM's teardown must hand back: free pages per migrate
+ * type (PCP drained first, so every free page sits on a buddy list)
+ * and the backend's touched-page count.
+ */
+struct HostCensus
+{
+    std::array<uint64_t, mm::kMigrateTypes> freeByType{};
+    uint64_t freePages = 0;
+    size_t touchedPages = 0;
+
+    bool operator==(const HostCensus &) const = default;
+};
+
+HostCensus
+censusOf(HostSystem &host)
+{
+    host.buddy().drainPcp();
+    HostCensus census;
+    const mm::PageTypeInfo info = host.pageTypeInfo();
+    for (unsigned mt = 0; mt < mm::kMigrateTypes; ++mt)
+        census.freeByType[mt] =
+            info.totalPages(static_cast<mm::MigrateType>(mt));
+    census.freePages = host.buddy().freePages();
+    census.touchedPages = host.dram().backend().touchedPages();
+    return census;
+}
+
+TEST(HostSystem, PublicVmTeardownReturnsEveryFrame)
+{
+    // The trial-discard rule (HostSystem::discardTrial) must never
+    // reach a VM destroyed through its public destructor on a live
+    // host: that path -- in-host respawns -- keeps the full teardown.
+    for (const unsigned passthrough : {0u, 1u}) {
+        for (const bool balloon : {false, true}) {
+            SCOPED_TRACE("passthrough=" + std::to_string(passthrough)
+                         + " balloon=" + std::to_string(balloon));
+            HostSystem host(SystemConfig::s1(11).withMemory(1_GiB));
+            vm::VmConfig cfg;
+            cfg.bootMemBytes = 64_MiB;
+            cfg.virtioMemRegionSize = 256_MiB;
+            cfg.virtioMemPlugged = 128_MiB;
+            cfg.passthroughDevices = passthrough;
+            cfg.balloon = balloon;
+            const HostCensus before = censusOf(host);
+            {
+                vm::VirtualMachine machine(host.dram(), host.buddy(), cfg,
+                                           42);
+                // Give every teardown path work: demoted hugepages
+                // (EPT pages), IOPT pages, guest data, and balloon
+                // holes.
+                for (unsigned i = 0; i < 8; ++i)
+                    (void)machine.execute(vm::kVirtioMemRegionStart
+                                          + i * kHugePageSize);
+                for (unsigned i = 0; i < 64 && passthrough > 0; ++i) {
+                    ASSERT_TRUE(machine
+                                    .iommuMap(0, IoVirtAddr(i * kPageSize),
+                                              GuestPhysAddr(i * kPageSize))
+                                    .ok());
+                }
+                // VFIO pins all guest memory, which rules ballooning
+                // out (QEMU inhibits it too); the device is attached
+                // but idle then.
+                if (balloon && passthrough == 0) {
+                    // Split a boot hugepage, deflate one page onto a
+                    // replacement frame and leave another ballooned out.
+                    const GuestPhysAddr hp(3 * kHugePageSize);
+                    (void)machine.execute(hp);
+                    virtio::VirtioBalloonDevice &dev =
+                        *machine.balloonDevice();
+                    ASSERT_TRUE(dev.inflatePage(hp).ok());
+                    ASSERT_TRUE(dev.deflatePage(hp).ok());
+                    ASSERT_TRUE(dev.inflatePage(hp + kPageSize).ok());
+                }
+                ASSERT_TRUE(machine.write64(GuestPhysAddr(8), 0x5a).ok());
+                EXPECT_NE(censusOf(host).touchedPages, before.touchedPages);
+            }
+            HostCensus expected = before;
+            if (passthrough > 0) {
+                // Pinned-then-unpinned guest memory keeps its
+                // unmovable character (Section 4.2.2): the teardown
+                // returns every page, but retyped.
+                const uint64_t pinned =
+                    (cfg.bootMemBytes + cfg.virtioMemPlugged) / kPageSize;
+                expected.freeByType[static_cast<unsigned>(
+                    mm::MigrateType::Movable)] -= pinned;
+                expected.freeByType[static_cast<unsigned>(
+                    mm::MigrateType::Unmovable)] += pinned;
+            }
+            EXPECT_EQ(censusOf(host), expected);
+            EXPECT_EQ(host.countFramesByUse(mm::PageUse::GuestMemory, 42),
+                      0u);
+            EXPECT_EQ(host.countFramesByUse(mm::PageUse::EptPage, 42), 0u);
+            EXPECT_EQ(host.countFramesByUse(mm::PageUse::IoptPage, 42),
+                      0u);
+            host.buddy().checkConsistency();
+        }
+    }
 }
 
 } // namespace

@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for the sparse memory backend: fill/override semantics,
- * bit flips, and the mismatch scanner the profiler relies on.
+ * bit flips, the mismatch scanner the profiler relies on, and a
+ * differential test against a deliberately naive flat reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <map>
+#include <set>
 #include <thread>
 
+#include "base/rng.h"
 #include "dram/memory_backend.h"
 
 namespace hh::dram {
@@ -258,6 +264,39 @@ TEST(MemoryBackendCow, SaveStateMatchesFlatBackend)
     EXPECT_EQ(stateBytes(forked), stateBytes(flat));
 }
 
+TEST(MemoryBackend, LoadStateRejectsRepeatedOrUnsortedPfns)
+{
+    // Two pages, each with one override, in the given PFN order.
+    const auto stream = [](Pfn first, Pfn second) {
+        base::ArchiveWriter w;
+        w.u64(2);
+        for (const auto &[pfn, idx] :
+             {std::pair<Pfn, uint16_t>{first, 7}, {second, 3}}) {
+            w.u64(pfn);
+            w.u64(0);
+            w.u64(1);
+            w.u16(idx);
+            w.u64(0xaa);
+        }
+        return w.buffer();
+    };
+    MemoryBackend mem(1_MiB);
+    mem.fillPage(1, 0x11);
+    const std::vector<uint8_t> before = stateBytes(mem);
+    // Repeated, decreasing, and past the end (2^52 * 4 KiB wraps to 0).
+    for (const auto &[first, second] :
+         {std::pair<Pfn, Pfn>{4, 4}, {5, 4}, {4, Pfn{1} << 52}}) {
+        const std::vector<uint8_t> bytes = stream(first, second);
+        base::ArchiveReader r(bytes);
+        EXPECT_FALSE(mem.loadState(r).ok());
+        EXPECT_EQ(stateBytes(mem), before);
+    }
+    const std::vector<uint8_t> sorted = stream(4, 5);
+    base::ArchiveReader r(sorted);
+    ASSERT_TRUE(mem.loadState(r).ok());
+    EXPECT_EQ(stateBytes(mem), sorted);
+}
+
 TEST(MemoryBackendCow, ConcurrentForksAreIndependent)
 {
     MemoryBackend mem(1_MiB);
@@ -287,6 +326,267 @@ TEST(MemoryBackendCow, ConcurrentForksAreIndependent)
                   0x5au);
     }
     EXPECT_EQ(mem.read64(HostPhysAddr(8)), 0x5au);
+}
+
+/**
+ * The differential test's reference model, naive on purpose: every
+ * page with data is a flat 512-word array plus the pattern it was
+ * last filled with, fork() is a real deep copy, and the touched /
+ * template accounting is spelled out as explicit sets. Nothing is
+ * shared, so it cannot have the optimized backend's aliasing bugs.
+ */
+struct FlatReference
+{
+    static constexpr uint64_t kWords = kPageSize / 8;
+
+    struct Page
+    {
+        uint64_t fill = 0;
+        std::array<uint64_t, kWords> words{};
+    };
+
+    std::map<Pfn, Page> pages;
+    /** Pages carrying data at the last freeze(). */
+    std::set<Pfn> frozen;
+    /** Pages changed since the last freeze(). */
+    std::set<Pfn> touched;
+
+    static uint64_t word(HostPhysAddr addr)
+    {
+        return (addr.value() % kPageSize) / 8;
+    }
+
+    uint64_t
+    read64(HostPhysAddr addr) const
+    {
+        const auto it = pages.find(addr.pfn());
+        return it == pages.end() ? 0 : it->second.words[word(addr)];
+    }
+
+    void
+    write64(HostPhysAddr addr, uint64_t value)
+    {
+        pages[addr.pfn()].words[word(addr)] = value;
+        touched.insert(addr.pfn());
+    }
+
+    void
+    clearPage(Pfn pfn)
+    {
+        if (pages.erase(pfn) == 0)
+            return;
+        if (frozen.count(pfn) != 0)
+            touched.insert(pfn);
+        else
+            touched.erase(pfn);
+    }
+
+    void
+    fillPage(Pfn pfn, uint64_t pattern)
+    {
+        if (pattern == 0) {
+            clearPage(pfn);
+            return;
+        }
+        Page page;
+        page.fill = pattern;
+        page.words.fill(pattern);
+        pages[pfn] = page;
+        touched.insert(pfn);
+    }
+
+    uint64_t
+    flipBit(HostPhysAddr addr, unsigned bit)
+    {
+        const uint64_t value = read64(addr) ^ (1ull << bit);
+        write64(addr, value);
+        return value;
+    }
+
+    std::vector<uint16_t>
+    mismatchedWords(Pfn pfn, uint64_t expected) const
+    {
+        std::vector<uint16_t> out;
+        for (uint16_t i = 0; i < kWords; ++i) {
+            if (read64(HostPhysAddr(pfn * kPageSize + i * 8ull))
+                != expected)
+                out.push_back(i);
+        }
+        return out;
+    }
+
+    void
+    freeze()
+    {
+        frozen.clear();
+        for (const auto &entry : pages)
+            frozen.insert(entry.first);
+        touched.clear();
+    }
+
+    /** loadState() of @p source's saveState() stream. */
+    void
+    loadFrom(const FlatReference &source)
+    {
+        pages = source.pages;
+        frozen.clear();
+        touched.clear();
+        for (const auto &entry : pages)
+            touched.insert(entry.first);
+    }
+
+    /** The documented stream: fill, then every word differing from it. */
+    std::vector<uint8_t>
+    stateBytes() const
+    {
+        base::ArchiveWriter w;
+        w.u64(pages.size());
+        for (const auto &[pfn, page] : pages) {
+            w.u64(pfn);
+            w.u64(page.fill);
+            uint64_t differing = 0;
+            for (uint64_t value : page.words)
+                differing += value != page.fill ? 1 : 0;
+            w.u64(differing);
+            for (uint16_t i = 0; i < kWords; ++i) {
+                if (page.words[i] != page.fill) {
+                    w.u16(i);
+                    w.u64(page.words[i]);
+                }
+            }
+        }
+        return w.buffer();
+    }
+};
+
+/** Full-page and accounting comparison of one backend pair. */
+void
+expectSame(const MemoryBackend &mem, const FlatReference &ref, Pfn pfn)
+{
+    ASSERT_EQ(stateBytes(mem), ref.stateBytes());
+    ASSERT_EQ(mem.touchedPages(), ref.touched.size());
+    ASSERT_EQ(mem.templatePages(), ref.frozen.size());
+    for (uint64_t i = 0; i < FlatReference::kWords; ++i) {
+        const HostPhysAddr addr(pfn * kPageSize + i * 8);
+        ASSERT_EQ(mem.read64(addr), ref.read64(addr)) << "word " << i;
+    }
+    const std::array<uint64_t, 3> expected_fills = {
+        0, 0x11, ref.read64(HostPhysAddr(pfn * kPageSize))};
+    for (uint64_t expected : expected_fills)
+        ASSERT_EQ(mem.mismatchedWords(pfn, expected),
+                  ref.mismatchedWords(pfn, expected));
+}
+
+TEST(MemoryBackendDifferential, MatchesFlatReferenceUnderRandomOps)
+{
+    // Three chunks of 512 pages; the PFNs straddle chunk borders.
+    constexpr uint64_t kBytes = 6_MiB;
+    constexpr Pfn kPfns[] = {0, 1, 2, 511, 512, 513, 1023, 1024, 1300, 1535};
+    constexpr uint64_t kValues[] = {0, 0x11, 0x22, ~0ull};
+    constexpr size_t kMaxWorlds = 5;
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        base::Rng rng(seed);
+        const auto value = [&rng, &kValues] {
+            return rng.chance(0.8) ? kValues[rng.below(std::size(kValues))]
+                                   : rng();
+        };
+        std::vector<MemoryBackend> mems;
+        std::vector<FlatReference> refs;
+        mems.emplace_back(kBytes);
+        refs.emplace_back();
+        for (int step = 0; step < 400; ++step) {
+            const size_t target = rng.below(mems.size());
+            const Pfn pfn = kPfns[rng.below(std::size(kPfns))];
+            const uint64_t idx = rng.chance(0.5) ? rng.below(4)
+                                                 : rng.below(512);
+            const HostPhysAddr addr(pfn * kPageSize + idx * 8);
+            std::vector<std::vector<uint8_t>> before;
+            for (const MemoryBackend &mem : mems)
+                before.push_back(stateBytes(mem));
+            MemoryBackend &mem = mems[target];
+            FlatReference &ref = refs[target];
+            // The one world this op may change.
+            size_t changed = target;
+
+            const uint64_t op = rng.below(100);
+            if (op < 30) {
+                const uint64_t v = value();
+                mem.write64(addr, v);
+                ref.write64(addr, v);
+            } else if (op < 42) {
+                const uint64_t v = value();
+                mem.fillPage(pfn, v);
+                ref.fillPage(pfn, v);
+            } else if (op < 50) {
+                mem.clearPage(pfn);
+                ref.clearPage(pfn);
+            } else if (op < 58) {
+                const unsigned bit = static_cast<unsigned>(rng.below(64));
+                ASSERT_EQ(mem.flipBit(addr, bit), ref.flipBit(addr, bit));
+            } else if (op < 64) {
+                // A dense page-table-like page: every word written in
+                // a random order, some back to the fill (holes).
+                std::vector<uint64_t> order(FlatReference::kWords);
+                for (uint64_t i = 0; i < order.size(); ++i)
+                    order[i] = i;
+                rng.shuffle(order);
+                const auto page = ref.pages.find(pfn);
+                const uint64_t fill =
+                    page == ref.pages.end() ? 0 : page->second.fill;
+                for (uint64_t i : order) {
+                    const HostPhysAddr word(pfn * kPageSize + i * 8);
+                    const uint64_t v = rng.chance(0.1) ? fill : rng() | 1;
+                    mem.write64(word, v);
+                    ref.write64(word, v);
+                }
+            } else if (op < 74) {
+                mem.freeze();
+                ref.freeze();
+            } else if (op < 88) {
+                // Fork, replacing another world once the pool is full;
+                // later ops write parent and child alike.
+                changed = mems.size() < kMaxWorlds
+                    ? mems.size()
+                    : (target + 1 + rng.below(mems.size() - 1))
+                        % mems.size();
+                MemoryBackend child = mem.fork();
+                FlatReference child_ref = ref;
+                if (changed == mems.size()) {
+                    mems.push_back(std::move(child));
+                    refs.push_back(std::move(child_ref));
+                    before.push_back({});
+                } else {
+                    mems[changed] = std::move(child);
+                    refs[changed] = std::move(child_ref);
+                }
+            } else {
+                const size_t source = rng.below(mems.size());
+                const std::vector<uint8_t> bytes = stateBytes(mems[source]);
+                base::ArchiveReader r(bytes);
+                ASSERT_TRUE(mem.loadState(r).ok());
+                ref.loadFrom(refs[source]);
+            }
+
+            for (size_t i = 0; i < mems.size(); ++i) {
+                SCOPED_TRACE("step " + std::to_string(step) + " world "
+                             + std::to_string(i) + " op "
+                             + std::to_string(op));
+                expectSame(mems[i], refs[i], pfn);
+                // Isolation: an op changes at most the world it ran on,
+                // a fork only the world it created or replaced.
+                if (i != changed) {
+                    ASSERT_EQ(stateBytes(mems[i]), before[i]);
+                }
+            }
+            // Spot reads everywhere, untouched pages included.
+            for (int k = 0; k < 8; ++k) {
+                const size_t i = rng.below(mems.size());
+                const HostPhysAddr any(rng.below(kBytes / 8) * 8);
+                ASSERT_EQ(mems[i].read64(any), refs[i].read64(any));
+            }
+        }
+    }
 }
 
 } // namespace

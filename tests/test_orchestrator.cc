@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "attack/orchestrator.h"
 
@@ -164,6 +166,35 @@ TEST(Orchestrator, BatchCappedBySprayBudget)
     const AttackResult result = attack.run();
     for (const AttemptOutcome &outcome : result.outcomes)
         EXPECT_LE(outcome.bitsTargeted, 1u);
+}
+
+TEST(Orchestrator, TrialRangeOutcomesArePinned)
+{
+    // Forked trial worlds are dropped without their VM teardown
+    // (HostSystem::discardTrial). These seeds' trials demote EPT pages
+    // and land flips that change mappings, so every layer the discard
+    // skips did work; their outcomes, virtual time included, must
+    // stay byte-identical to the full-teardown engine's.
+    const std::pair<uint64_t, uint64_t> pinned[] = {
+        {7, 0xa1219c0c7e27b705ull}, {42, 0xdb112f3ee1875da5ull}};
+    for (const auto &[seed, digest] : pinned) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        sys::HostSystem host(hostConfig(seed, 8.0));
+        HyperHammerAttack attack(host, vmConfig(), host.dram().mapping(),
+                                 attackConfig());
+        (void)attack.profilePhase();
+        const TrialRangeResult range =
+            attack.runTrialRange(0, 12, 2, snapshot::CheckpointPolicy{});
+        ASSERT_EQ(range.outcomes.size(), 12u);
+        base::ArchiveWriter w;
+        for (const AttemptOutcome &outcome : range.outcomes) {
+            EXPECT_GT(outcome.demotions, 0u);
+            EXPECT_GT(outcome.changedPages, 0u);
+            writeOutcome(w, outcome);
+        }
+        EXPECT_EQ(base::fnv1a64(w.buffer().data(), w.buffer().size()),
+                  digest);
+    }
 }
 
 } // namespace

@@ -165,7 +165,9 @@ TEST_F(VmTest, PageWordBatchedOps)
                                         return page.value() | 1;
                                     })
                     .ok());
-    const auto words = machine.readPageWords(hp);
+    std::vector<VirtualMachine::PageWord> words;
+    machine.readPageWords(
+        hp, [&words](const auto &word) { words.push_back(word); });
     ASSERT_EQ(words.size(), kPagesPerHugePage);
     for (const auto &word : words) {
         EXPECT_FALSE(word.fault);
@@ -185,7 +187,10 @@ TEST_F(VmTest, CorruptedMappingBeyondMemoryFaults)
     dram->backend().write64(HostPhysAddr(pt * kPageSize),
                             pte | (1ull << 40)); // frame way out
     EXPECT_EQ(machine.read64(hp).error(), base::ErrorCode::Fault);
-    const auto words = machine.readPageWords(hp);
+    std::vector<VirtualMachine::PageWord> words;
+    machine.readPageWords(
+        hp, [&words](const auto &word) { words.push_back(word); });
+    ASSERT_FALSE(words.empty());
     EXPECT_TRUE(words[0].fault);
 }
 

@@ -30,8 +30,8 @@ Rules (see docs/static_analysis.md for the rationale and how to add one):
                       silently reinterpreted instead of rejected
   no-deep-world-copy  a copy constructor on a world-state type
                       (HostSystem, DramSystem, BuddyAllocator,
-                      MemoryBackend, FrameStore) that is not = delete:
-                      worlds duplicate through their O(touched-pages)
+                      MemoryBackend, CowChunks) that is not = delete:
+                      worlds duplicate through their O(chunk-pointer)
                       CoW fork paths, never by deep copy
   bad-waiver          an hh-lint waiver without a justification
 
@@ -173,7 +173,7 @@ CLASS_NAME_RE = re.compile(r"\b(?:class|struct)\s+(\w+)")
 # it; the tag-dispatched fork ctors take the source as their second
 # parameter, so they never match.
 WORLD_COPY_RE = re.compile(
-    r"\b(HostSystem|DramSystem|BuddyAllocator|MemoryBackend|FrameStore)"
+    r"\b(HostSystem|DramSystem|BuddyAllocator|MemoryBackend|CowChunks)"
     r"\s*\(\s*(?:const\s+)?(?:\w+\s*::\s*)*\1\s*&(?!&)")
 # Campaign outcome aggregation is a single code path
 # (HyperHammerAttack::aggregateOutcomes, reached directly or through
